@@ -65,11 +65,11 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| black_box(tdat_pcap2bgp::extract_from_frames(&conns[0], &frames)))
     });
     group.bench_function("mct", |b| {
-        let updates = tdat_pcap2bgp::extract_from_frames(&conns[0], &frames).updates();
+        let extraction = tdat_pcap2bgp::extract_from_frames(&conns[0], &frames);
         b.iter(|| {
-            black_box(tdat_bgp::find_transfer_end(
+            black_box(tdat_bgp::find_transfer_end_ref(
                 Micros::ZERO,
-                &updates,
+                extraction.updates_iter(),
                 &tdat_bgp::MctConfig::default(),
             ))
         })

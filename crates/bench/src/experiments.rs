@@ -296,8 +296,8 @@ pub fn table3() -> String {
     let extraction = tdat_pcap2bgp::extract_from_frames(&conns[0], &transfer.frames);
     let window = Span::new(episode.span.start, episode.span.end + Micros::from_secs(1));
     let in_window: Vec<_> = extraction
-        .messages
-        .iter()
+        .decoded()
+        .into_iter()
         .filter(|(t, m)| window.contains(*t) && matches!(m, BgpMessage::Update(_)))
         .collect();
     // Sample evenly across the episode so the rising delays are visible

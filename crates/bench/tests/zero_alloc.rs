@@ -5,34 +5,63 @@
 //!
 //! The counting allocator lives here because the packet crate itself
 //! (rightly) forbids `unsafe`; an integration test is its own crate,
-//! so the `#[global_allocator]` below scopes to this binary only.
+//! so the `#[global_allocator]` below scopes to this binary only. Its
+//! counter is thread-local and armed only inside
+//! [`allocations_during`], so the default parallel harness's other test
+//! threads never leak into a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use tdat::BgpDemux;
+use tdat_bgp::TableGenerator;
 use tdat_packet::{
-    FrameBlock, FrameBuilder, FrameLike, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpOption,
+    FrameBlock, FrameBuilder, FrameLike, MmapReader, PcapReader, PcapWriter, TcpFlags, TcpFrame,
+    TcpOption,
 };
 use tdat_timeset::Micros;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is inside a measured region. `const`
+    /// initializers without destructors: touching them never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates every operation to `System`; the counter is the
-// only addition and is atomic.
+fn note_allocation() {
+    // `try_with`: the allocator can run during thread teardown, after
+    // the slots are gone.
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+/// Runs `f` and returns its result with the number of heap
+/// allocations (including reallocations) this thread made inside it.
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, ALLOCATIONS.with(Cell::get))
+}
+
+// SAFETY: delegates every operation to `System`; the only addition is
+// a thread-local counter whose slots need no allocation to access.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -101,23 +130,22 @@ fn steady_state_decode_allocates_nothing_per_frame() {
         assert!(view.is_some(), "warm-up frames present");
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let mut frames = 0usize;
-    let mut payload_bytes = 0u64;
-    while let Some(view) = reader.next_view().expect("valid record") {
-        frames += 1;
-        payload_bytes += view.payload.len() as u64;
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let ((frames, payload_bytes), allocations) = allocations_during(|| {
+        let mut frames = 0usize;
+        let mut payload_bytes = 0u64;
+        while let Some(view) = reader.next_view().expect("valid record") {
+            frames += 1;
+            payload_bytes += view.payload.len() as u64;
+        }
+        (frames, payload_bytes)
+    });
 
     assert_eq!(frames, FRAMES);
     assert!(payload_bytes > 0);
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "steady-state zero-copy decode must not allocate \
-         ({} allocations over {frames} frames)",
-        after - before
+         ({allocations} allocations over {frames} frames)"
     );
 }
 
@@ -181,23 +209,22 @@ fn mmap_steady_state_decode_allocates_nothing_per_frame() {
         assert!(view.is_some(), "warm-up frames present");
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let mut frames = 0usize;
-    let mut payload_bytes = 0u64;
-    while let Some(view) = reader.next_view().expect("valid record") {
-        frames += 1;
-        payload_bytes += view.payload.len() as u64;
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let ((frames, payload_bytes), allocations) = allocations_during(|| {
+        let mut frames = 0usize;
+        let mut payload_bytes = 0u64;
+        while let Some(view) = reader.next_view().expect("valid record") {
+            frames += 1;
+            payload_bytes += view.payload.len() as u64;
+        }
+        (frames, payload_bytes)
+    });
 
     assert_eq!(frames, FRAMES);
     assert!(payload_bytes > 0);
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "mmap steady-state decode must not allocate \
-         ({} allocations over {frames} frames)",
-        after - before
+         ({allocations} allocations over {frames} frames)"
     );
 }
 
@@ -218,29 +245,28 @@ fn block_decode_reuses_frame_block_with_zero_allocations() {
     let warm = reader.next_views_into(&mut block).expect("valid records");
     assert_eq!(warm.len(), 256, "first block fills completely");
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let mut frames = 0usize;
-    let mut options = 0usize;
-    loop {
-        let views = reader.next_views_into(&mut block).expect("valid records");
-        if views.is_empty() {
-            break;
+    let ((frames, options), allocations) = allocations_during(|| {
+        let mut frames = 0usize;
+        let mut options = 0usize;
+        loop {
+            let views = reader.next_views_into(&mut block).expect("valid records");
+            if views.is_empty() {
+                break;
+            }
+            for frame in &views {
+                frames += 1;
+                options += frame.tcp().options.len();
+            }
         }
-        for frame in &views {
-            frames += 1;
-            options += frame.tcp().options.len();
-        }
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+        (frames, options)
+    });
 
     assert_eq!(frames, AFTER_WARMUP + 2 - 256);
     assert_eq!(options, frames, "every frame carries its Timestamps option");
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "block decode with slot reuse must not allocate \
-         ({} allocations over {frames} option-bearing frames)",
-        after - before
+         ({allocations} allocations over {frames} option-bearing frames)"
     );
 }
 
@@ -252,16 +278,95 @@ fn block_decode_reuses_frame_block_with_zero_allocations() {
 fn owned_decode_allocates_per_frame() {
     const FRAMES: usize = 64;
     let pcap = capture(FRAMES);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let frames = PcapReader::new(&pcap[..])
-        .expect("valid pcap")
-        .read_all()
-        .expect("valid records");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let (frames, allocations) = allocations_during(|| {
+        PcapReader::new(&pcap[..])
+            .expect("valid pcap")
+            .read_all()
+            .expect("valid records")
+    });
     assert_eq!(frames.len(), FRAMES + 2);
     assert!(
-        after - before >= FRAMES as u64,
-        "owned decode should allocate per frame (saw {})",
-        after - before
+        allocations >= FRAMES as u64,
+        "owned decode should allocate per frame (saw {allocations})"
+    );
+}
+
+/// An in-order 8000-route table transfer as captured frames: handshake,
+/// then the UPDATE stream in 1448-byte segments, each ACKed.
+fn transfer_frames() -> Vec<TcpFrame> {
+    let router = Ipv4Addr::new(10, 0, 0, 1);
+    let collector = Ipv4Addr::new(10, 0, 0, 2);
+    let stream = TableGenerator::new(8)
+        .routes(8_000)
+        .generate()
+        .to_update_stream();
+    let data = |seq: u32, at: i64| {
+        FrameBuilder::new(router, collector)
+            .ports(179, 40000)
+            .at(Micros(at))
+            .seq(seq)
+            .ack_to(1)
+    };
+    let ack = |ack: u32, at: i64| {
+        FrameBuilder::new(collector, router)
+            .ports(40000, 179)
+            .at(Micros(at))
+            .seq(1)
+            .ack_to(ack)
+            .flags(TcpFlags::ACK)
+            .build()
+    };
+    let mut frames = vec![
+        data(0, 0).flags(TcpFlags::SYN).build(),
+        FrameBuilder::new(collector, router)
+            .ports(40000, 179)
+            .at(Micros(50))
+            .seq(0)
+            .ack_to(1)
+            .flags(TcpFlags::SYN | TcpFlags::ACK)
+            .build(),
+    ];
+    let mut seq = 1u32;
+    for (i, chunk) in stream.chunks(1448).enumerate() {
+        let at = 100 + i as i64 * 100;
+        frames.push(
+            data(seq, at)
+                .flags(TcpFlags::ACK)
+                .payload(chunk.to_vec())
+                .build(),
+        );
+        seq += chunk.len() as u32;
+        frames.push(ack(seq, at + 50));
+    }
+    frames
+}
+
+/// Lazy BGP framing: feeding a whole table transfer through the demux
+/// allocates only when a buffer grows — the stream arena, the message
+/// index, the reassembler's hand-off buffer, the connection map — so
+/// the count is logarithmic in the stream, not one (or several, as
+/// owned decode needs) per message.
+#[test]
+fn demux_feed_allocates_only_to_grow_its_buffers() {
+    let frames = transfer_frames();
+    let stream_bytes: usize = frames.iter().map(|f| f.payload.len()).sum();
+    let mut demux = BgpDemux::new();
+    let ((), allocations) = allocations_during(|| {
+        for frame in &frames {
+            demux.feed(frame);
+        }
+    });
+    let first = &frames[2];
+    let extraction = demux.take(tdat_trace::ConnKey::of(first), first.src());
+    let messages = extraction.messages.len();
+    assert!(messages > 1_000, "{messages} messages");
+    assert_eq!(extraction.unparsed_bytes, 0);
+    // Doubling growth: ~log2 of the arena's bytes plus ~log2 of the
+    // index's entries, with a little slack for the fixed buffers.
+    let bound = (stream_bytes.ilog2() + messages.ilog2() + 8) as u64;
+    assert!(
+        allocations <= bound,
+        "{allocations} allocations feeding {messages} messages \
+         ({stream_bytes} bytes); O(log n) bound {bound}"
     );
 }

@@ -9,6 +9,9 @@
 //!   into UPDATE messages like routers pack them;
 //! * [`MrtRecord`] — the MRT (`BGP4MP`) archive format written by
 //!   Quagga collectors;
+//! * [`frame_message`] / [`UpdateView`] — zero-allocation framing
+//!   that accepts exactly what the codec decodes, and borrowed UPDATE
+//!   views whose NLRI is walked straight from the wire bytes;
 //! * [`find_transfer_end`] — the MCT (Minimum Collection Time)
 //!   estimator for where an initial table transfer ends in an update
 //!   stream.
@@ -37,6 +40,7 @@
 
 mod attrs;
 mod error;
+mod frame;
 mod mct;
 mod message;
 mod mrt;
@@ -46,6 +50,7 @@ mod table;
 
 pub use attrs::{AsPath, AsPathSegment, Origin, PathAttribute};
 pub use error::{BgpError, Result};
+pub use frame::{frame_message, FrameError, Nlri, NlriIter, UpdateNlri, UpdateView};
 pub use mct::{find_transfer_end, find_transfer_end_ref, MctConfig, TableTransfer};
 pub use message::{
     BgpMessage, NotificationMessage, OpenMessage, UpdateMessage, BGP_HEADER_LEN,

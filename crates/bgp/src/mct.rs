@@ -18,6 +18,7 @@
 
 use std::collections::HashSet;
 
+use crate::frame::UpdateNlri;
 use crate::message::UpdateMessage;
 use crate::prefix::Prefix;
 use tdat_timeset::{Micros, Span};
@@ -136,19 +137,25 @@ impl std::hash::Hasher for PackedHasher {
 
 type PackedSet = HashSet<u64, std::hash::BuildHasherDefault<PackedHasher>>;
 
-/// [`find_transfer_end`] over borrowed updates, so callers holding an
-/// extraction can run MCT without deep-cloning every message. The
-/// distinct-prefix count is maintained inline during the single scan
-/// instead of re-counting in a second pass.
-pub fn find_transfer_end_ref<'a, I>(
+/// [`find_transfer_end`] over borrowed updates — owned
+/// `&UpdateMessage`s or [`UpdateView`](crate::UpdateView)s read straight
+/// from wire bytes — so callers holding an extraction can run MCT
+/// without materializing or cloning any message. The distinct-prefix
+/// count is maintained inline during the single scan instead of
+/// re-counting in a second pass.
+pub fn find_transfer_end_ref<I, U>(
     start: Micros,
     updates: I,
     config: &MctConfig,
 ) -> Option<TableTransfer>
 where
-    I: IntoIterator<Item = (Micros, &'a UpdateMessage)>,
+    I: IntoIterator<Item = (Micros, U)>,
+    U: UpdateNlri,
 {
     let mut seen = PackedSet::default();
+    // One update's announced prefixes, packed: a wire view is walked
+    // once, then probed and inserted from here.
+    let mut announced: Vec<u64> = Vec::new();
     let mut end: Option<Micros> = None;
     let mut update_count = 0;
     let mut counted = 0;
@@ -157,20 +164,18 @@ where
     let mut prefix_count = 0;
     let mut iter = updates.into_iter();
     for (time, update) in iter.by_ref() {
-        if update.announced.is_empty() && update.withdrawn.is_empty() {
+        if update.carries_no_nlri() {
             continue; // keepalive-equivalent / attribute-only updates
         }
         if time - last_time > config.max_gap {
             break;
         }
         counted += 1;
-        let new = update
-            .announced
-            .iter()
-            .filter(|p| !seen.contains(&packed(p)))
-            .count();
-        let dup_frac = 1.0 - new as f64 / update.announced.len().max(1) as f64;
-        seen.extend(update.announced.iter().map(packed));
+        announced.clear();
+        announced.extend(update.announced().map(|p| packed(&p)));
+        let new = announced.iter().filter(|p| !seen.contains(*p)).count();
+        let dup_frac = 1.0 - new as f64 / announced.len().max(1) as f64;
+        seen.extend(announced.iter().copied());
         last_time = time;
         if new > 0 && dup_frac <= config.dup_tolerance {
             end = Some(time);
@@ -198,7 +203,7 @@ where
         if time > end {
             break;
         }
-        seen.extend(update.announced.iter().map(packed));
+        seen.extend(update.announced().map(|p| packed(&p)));
         prefix_count = seen.len();
     }
     Some(TableTransfer {

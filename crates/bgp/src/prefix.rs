@@ -39,13 +39,18 @@ impl Prefix {
                 detail: format!("length {len} exceeds 32"),
             });
         }
-        let raw = u32::from(addr);
-        let bits = if len == 0 {
-            0
-        } else {
-            raw & (u32::MAX << (32 - len))
-        };
-        Ok(Prefix { bits, len })
+        Ok(Prefix::masked(u32::from(addr), len))
+    }
+
+    /// The prefix `raw/len` with host bits cleared; `len` must be at
+    /// most 32.
+    pub(crate) fn masked(raw: u32, len: u8) -> Prefix {
+        // A 64-bit shift keeps `len == 0` (a 32-bit shift) branch-free.
+        let mask = (u64::from(u32::MAX) << (32 - len)) as u32;
+        Prefix {
+            bits: raw & mask,
+            len,
+        }
     }
 
     /// The (masked) network address.

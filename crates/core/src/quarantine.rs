@@ -149,7 +149,7 @@ impl QuarantineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdat_packet::CaptureAnomaly;
+    use tdat_packet::{CaptureAnomaly, TcpFlags};
 
     fn counts(n: u64) -> AnomalyCounts {
         let mut c = AnomalyCounts::default();
@@ -191,10 +191,13 @@ mod tests {
     #[test]
     fn unparsed_and_overflow_budgets_trip_independently() {
         let config = QuarantineConfig::default();
+        let mut one_message = tdat_pcap2bgp::StreamExtractor::new();
+        let keepalive = tdat_bgp::BgpMessage::Keepalive.to_bytes();
+        one_message.anchor(0);
+        one_message.push(tdat_timeset::Micros::ZERO, 0, TcpFlags::ACK, &keepalive);
         let bad_framing = Extraction {
-            messages: vec![(tdat_timeset::Micros::ZERO, tdat_bgp::BgpMessage::Keepalive)],
             unparsed_bytes: config.max_unparsed_bytes + 1,
-            ..Extraction::default()
+            ..one_message.finish()
         };
         let v = config.assess(&AnomalyCounts::default(), &bad_framing);
         assert!(v.reason().is_some_and(|r| r.contains("BGP framing")));

@@ -9,6 +9,27 @@
 //! contiguous at the capture point, i.e. when the receiving BGP process
 //! could first have read it.
 //!
+//! # Lazy extraction
+//!
+//! Messages are framed, not decoded. [`StreamExtractor`] appends the
+//! reassembled bytes of a stream to an append-only *arena* and frames
+//! messages in place with [`tdat_bgp::frame_message`]; each becomes a
+//! [`FramedMessage`] index entry `(time, offset, len, type_code)`. An
+//! [`Extraction`] is the arena plus that index:
+//!
+//! * [`Extraction::updates_iter`] yields borrowed [`UpdateView`]s whose
+//!   `announced` and `withdrawn` NLRI are walked straight from the
+//!   arena — the MCT input, read without building any message;
+//! * [`Extraction::to_message`] and [`Extraction::decoded`] build owned
+//!   [`BgpMessage`]s on demand (the MRT writer uses them).
+//!
+//! The framing-equivalence contract: `frame_message` accepts, waits and
+//! rejects on exactly the inputs where [`BgpMessage::decode`] does, with
+//! the same consumed length, so the skip-one-byte resync over a damaged
+//! stream skips the same bytes — and counts the same
+//! [`unparsed_bytes`](Extraction::unparsed_bytes) — as decoding every
+//! message would, and every indexed message decodes.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,7 +54,8 @@
 
 use std::collections::BTreeMap;
 
-use tdat_bgp::{BgpMessage, MrtRecord};
+pub use tdat_bgp::UpdateView;
+use tdat_bgp::{frame_message, BgpMessage, MrtRecord};
 use tdat_packet::{seq_diff, TcpFlags, TcpFrame};
 use tdat_timeset::Micros;
 use tdat_trace::{Direction, TcpConnection};
@@ -275,12 +297,41 @@ impl StreamReassembler {
     }
 }
 
-/// Result of BGP extraction from one connection.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// One framed message in an [`Extraction`]'s index: when it completed
+/// and where its wire bytes sit in the arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FramedMessage {
+    /// Capture time at which the message's last byte first became
+    /// contiguous.
+    pub time: Micros,
+    /// Arena offset of the message's first byte.
+    pub offset: usize,
+    /// Wire length, header included (at most 4096).
+    pub len: u16,
+    /// BGP message type code (1 OPEN, 2 UPDATE, 3 NOTIFICATION, 4
+    /// KEEPALIVE).
+    pub type_code: u8,
+}
+
+/// Result of BGP extraction from one connection: the reassembled
+/// stream bytes plus an index of the messages framed in them.
+///
+/// Nothing is decoded up front. [`updates_iter`](Self::updates_iter)
+/// reads UPDATE NLRI straight from the arena; owned [`BgpMessage`]s are
+/// built only on request ([`to_message`](Self::to_message),
+/// [`decoded`](Self::decoded)). Every indexed message passed
+/// [`tdat_bgp::frame_message`], so it decodes.
+///
+/// Two extractions are equal when they index the same messages (same
+/// times, same wire bytes) and carry the same byte counters, wherever
+/// in their arenas the messages sit.
+#[derive(Debug, Clone, Default)]
 pub struct Extraction {
-    /// Decoded messages with the capture time at which each message's
-    /// last byte first became contiguous.
-    pub messages: Vec<(Micros, BgpMessage)>,
+    /// The framed messages, in stream order.
+    pub messages: Vec<FramedMessage>,
+    /// Reassembled stream bytes the index points into, including any
+    /// bytes skipped as unframeable.
+    pub arena: Vec<u8>,
     /// Bytes that could not be framed as BGP (corruption or a partial
     /// tail at the end of the capture).
     pub unparsed_bytes: u64,
@@ -292,31 +343,67 @@ pub struct Extraction {
     pub overflow_bytes: u64,
 }
 
+impl PartialEq for Extraction {
+    fn eq(&self, other: &Extraction) -> bool {
+        let counters = |e: &Extraction| (e.unparsed_bytes, e.duplicate_bytes, e.overflow_bytes);
+        counters(self) == counters(other)
+            && self.messages.len() == other.messages.len()
+            && self
+                .messages
+                .iter()
+                .zip(&other.messages)
+                .all(|(a, b)| a.time == b.time && self.bytes_of(a) == other.bytes_of(b))
+    }
+}
+
+impl Eq for Extraction {}
+
 impl Extraction {
-    /// Total prefixes announced across all extracted updates.
-    pub fn announced_prefixes(&self) -> usize {
+    /// The wire bytes of an indexed message (empty if `m` points
+    /// outside the arena).
+    fn bytes_of(&self, m: &FramedMessage) -> &[u8] {
+        self.arena
+            .get(m.offset..m.offset + usize::from(m.len))
+            .unwrap_or_default()
+    }
+
+    /// Decodes one indexed message into an owned [`BgpMessage`].
+    ///
+    /// # Errors
+    ///
+    /// Fails only if `m` does not index a framed message of this
+    /// extraction.
+    pub fn to_message(&self, m: &FramedMessage) -> tdat_bgp::Result<BgpMessage> {
+        let bytes = self.bytes_of(m);
+        BgpMessage::decode(&mut &bytes[..])?.ok_or(tdat_bgp::BgpError::Truncated {
+            what: "indexed message",
+            needed: usize::from(m.len),
+            available: bytes.len(),
+        })
+    }
+
+    /// Every message decoded into an owned [`BgpMessage`], with its
+    /// timestamp — for the MRT writer and tests; the analysis path
+    /// never materializes messages.
+    pub fn decoded(&self) -> Vec<(Micros, BgpMessage)> {
         self.messages
             .iter()
-            .filter_map(|(_, m)| match m {
-                BgpMessage::Update(u) => Some(u.announced.len()),
-                _ => None,
-            })
-            .sum()
+            .filter_map(|m| Some((m.time, self.to_message(m).ok()?)))
+            .collect()
     }
 
-    /// The update messages with their timestamps (the MCT input).
-    pub fn updates(&self) -> Vec<(Micros, tdat_bgp::UpdateMessage)> {
-        self.updates_iter().map(|(t, u)| (t, u.clone())).collect()
+    /// Total prefixes announced across all extracted updates.
+    pub fn announced_prefixes(&self) -> usize {
+        self.updates_iter().map(|(_, u)| u.announced.len()).sum()
     }
 
-    /// The timestamped UPDATE messages, borrowed — the hot path for
-    /// per-tick MCT runs, which must not deep-clone every prefix and
-    /// path attribute of the table just to scan them.
-    pub fn updates_iter(&self) -> impl Iterator<Item = (Micros, &tdat_bgp::UpdateMessage)> {
-        self.messages.iter().filter_map(|(t, m)| match m {
-            BgpMessage::Update(u) => Some((*t, u)),
-            _ => None,
-        })
+    /// The timestamped UPDATE messages as borrowed views over the arena
+    /// — the MCT input, read without decoding or cloning anything.
+    pub fn updates_iter(&self) -> impl Iterator<Item = (Micros, UpdateView<'_>)> {
+        self.messages
+            .iter()
+            .filter(|m| m.type_code == 2)
+            .filter_map(|m| Some((m.time, UpdateView::new(self.bytes_of(m))?)))
     }
 }
 
@@ -325,12 +412,16 @@ impl Extraction {
 /// Feed it segments in capture order with [`push`](Self::push); it
 /// anchors the sequence space (from the SYN, or from the lowest
 /// sequence among the first segments of a mid-connection capture),
-/// reassembles the byte stream and decodes BGP messages as their bytes
-/// become contiguous. [`finish`](Self::finish) yields the same
-/// [`Extraction`] the batch [`extract_from_frames`] produces.
+/// appends the contiguous bytes to an arena, and frames BGP messages in
+/// it as their bytes become contiguous, indexing each without decoding
+/// it. [`finish`](Self::finish) yields the same [`Extraction`] the
+/// batch [`extract_from_frames`] produces.
 ///
-/// Memory is bounded by the reassembler's out-of-order window plus at
-/// most one partial message — not by the stream length.
+/// Framing uses [`tdat_bgp::frame_message`], which accepts, waits and
+/// rejects exactly where [`BgpMessage::decode`] does, so the
+/// skip-one-byte resync counts the same unparsed bytes a decoding
+/// extractor would. Beyond the arena and the index (which grow with the
+/// stream), memory is bounded by the reassembler's out-of-order window.
 #[derive(Debug, Default)]
 pub struct StreamExtractor {
     reasm: StreamReassembler,
@@ -341,9 +432,12 @@ pub struct StreamExtractor {
     prebuf: Vec<(Micros, u32, Vec<u8>)>,
     /// Bytes currently held in `prebuf`.
     prebuf_bytes: usize,
-    /// Contiguous bytes not yet framed as a whole message.
-    buffer: Vec<u8>,
-    messages: Vec<(Micros, BgpMessage)>,
+    /// Append-only reassembled stream; framed messages are indexed
+    /// into it, never copied out.
+    arena: Vec<u8>,
+    /// Arena offset of the first byte not yet framed or skipped.
+    framed: usize,
+    messages: Vec<FramedMessage>,
     unparsed_bytes: u64,
 }
 
@@ -426,38 +520,42 @@ impl StreamExtractor {
             return;
         }
         self.reasm.push(seq, payload);
-        let before = self.buffer.len();
-        self.reasm.take_ready_into(&mut self.buffer);
-        if self.buffer.len() == before {
+        let before = self.arena.len();
+        self.reasm.take_ready_into(&mut self.arena);
+        if self.arena.len() == before {
             return;
         }
-        let mut cursor = &self.buffer[..];
         loop {
-            match BgpMessage::decode(&mut cursor) {
-                Ok(Some(msg)) => self.messages.push((time, msg)),
+            match frame_message(&self.arena[self.framed..]) {
+                Ok(Some(len)) => {
+                    self.messages.push(FramedMessage {
+                        time,
+                        offset: self.framed,
+                        len: len as u16,
+                        type_code: self.arena[self.framed + 18],
+                    });
+                    self.framed += len;
+                }
                 Ok(None) => break,
                 Err(_) => {
                     // Lost framing: skip one byte and retry (resync is
                     // heuristic; corrupted captures are rare).
                     self.unparsed_bytes += 1;
-                    let skip = 1.min(cursor.len());
-                    cursor = &cursor[skip..];
+                    self.framed += 1;
                 }
             }
         }
-        let consumed = self.buffer.len() - cursor.len();
-        self.buffer.drain(..consumed);
     }
 
-    /// Messages decoded so far.
+    /// Messages framed so far.
     pub fn messages_decoded(&self) -> usize {
         self.messages.len()
     }
 
-    /// Bytes parked in the reassembler and framing buffer.
+    /// Bytes parked in the reassembler and not yet framed.
     pub fn buffered_bytes(&self) -> usize {
         self.reasm.pending_bytes()
-            + self.buffer.len()
+            + (self.arena.len() - self.framed)
             + self.prebuf.iter().map(|(_, _, p)| p.len()).sum::<usize>()
     }
 
@@ -471,6 +569,7 @@ impl StreamExtractor {
     pub fn extraction(&self) -> Extraction {
         Extraction {
             messages: self.messages.clone(),
+            arena: self.arena[..self.framed].to_vec(),
             unparsed_bytes: self.unparsed_bytes,
             duplicate_bytes: self.reasm.duplicate_bytes(),
             overflow_bytes: self.reasm.overflow_bytes(),
@@ -484,9 +583,11 @@ impl StreamExtractor {
         if !self.anchored && !self.prebuf.is_empty() {
             self.anchor_at_min();
         }
+        let tail = self.arena.len() - self.framed;
         Extraction {
             messages: self.messages,
-            unparsed_bytes: self.unparsed_bytes + self.buffer.len() as u64,
+            arena: self.arena,
+            unparsed_bytes: self.unparsed_bytes + tail as u64,
             duplicate_bytes: self.reasm.duplicate_bytes(),
             overflow_bytes: self.reasm.overflow_bytes(),
         }
@@ -550,7 +651,7 @@ pub fn to_mrt_records(
     local_as: u16,
 ) -> Vec<MrtRecord> {
     extraction
-        .messages
+        .decoded()
         .iter()
         .map(|(time, msg)| {
             MrtRecord::message(
@@ -651,7 +752,7 @@ mod tests {
         let (_, extraction) = &results[0];
         assert_eq!(extraction.announced_prefixes(), 300);
         assert_eq!(extraction.unparsed_bytes, 0);
-        assert_eq!(extraction.updates().len(), extraction.messages.len());
+        assert_eq!(extraction.updates_iter().count(), extraction.messages.len());
     }
 
     #[test]
@@ -703,7 +804,7 @@ mod tests {
         let results = extract_all(&frames);
         let (_, extraction) = &results[0];
         assert_eq!(extraction.messages.len(), 2);
-        assert!(extraction.messages.iter().all(|(t, _)| *t == Micros(5_000)));
+        assert!(extraction.messages.iter().all(|m| m.time == Micros(5_000)));
     }
 
     #[test]

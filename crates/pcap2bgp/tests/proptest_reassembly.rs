@@ -186,7 +186,7 @@ proptest! {
         let frames = deliver(&stream, &plan);
         let results = extract_all(&frames);
         prop_assert_eq!(results.len(), 1);
-        let got: Vec<BgpMessage> = results[0].1.messages.iter().map(|(_, m)| m.clone()).collect();
+        let got: Vec<BgpMessage> = results[0].1.decoded().into_iter().map(|(_, m)| m).collect();
         prop_assert_eq!(got, reference);
         prop_assert_eq!(results[0].1.unparsed_bytes, 0);
     }
@@ -222,7 +222,7 @@ proptest! {
             .map(BgpMessage::Update)
             .collect();
         let got: Vec<BgpMessage> =
-            incremental.messages.iter().map(|(_, m)| m.clone()).collect();
+            incremental.decoded().into_iter().map(|(_, m)| m).collect();
         prop_assert_eq!(got, reference);
         prop_assert_eq!(incremental.unparsed_bytes, 0);
         // Overlap splicing implies discarded duplicate bytes whenever
@@ -281,7 +281,7 @@ proptest! {
             .map(BgpMessage::Update)
             .collect();
         let got: Vec<BgpMessage> =
-            incremental.messages.iter().map(|(_, m)| m.clone()).collect();
+            incremental.decoded().into_iter().map(|(_, m)| m).collect();
         prop_assert_eq!(got, reference);
         prop_assert_eq!(incremental.unparsed_bytes, 0);
     }

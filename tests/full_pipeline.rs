@@ -109,7 +109,7 @@ fn collector_archive_matches_pcap2bgp_reconstruction() {
     let results = extract_all(&out.taps[0].1);
     let reconstructed: Vec<_> = results[0]
         .1
-        .messages
+        .decoded()
         .iter()
         .filter_map(|(_, m)| match m {
             BgpMessage::Update(u) => Some(u.clone()),
