@@ -14,7 +14,8 @@
 //!   views whose NLRI is walked straight from the wire bytes;
 //! * [`find_transfer_end`] — the MCT (Minimum Collection Time)
 //!   estimator for where an initial table transfer ends in an update
-//!   stream.
+//!   stream, and [`MctScan`], the same estimator as an incremental fold
+//!   for streams that are still growing.
 //!
 //! # Examples
 //!
@@ -51,7 +52,7 @@ mod table;
 pub use attrs::{AsPath, AsPathSegment, Origin, PathAttribute};
 pub use error::{BgpError, Result};
 pub use frame::{frame_message, FrameError, Nlri, NlriIter, UpdateNlri, UpdateView};
-pub use mct::{find_transfer_end, find_transfer_end_ref, MctConfig, TableTransfer};
+pub use mct::{find_transfer_end, find_transfer_end_ref, MctConfig, MctScan, TableTransfer};
 pub use message::{
     BgpMessage, NotificationMessage, OpenMessage, UpdateMessage, BGP_HEADER_LEN,
     BGP_MAX_MESSAGE_LEN, KEEPALIVE_LEN,

@@ -15,6 +15,23 @@
 //! in-transfer duplication (retransmitted or re-packed updates) and a
 //! bounded quiet gap (timer gaps, loss recovery). An update beyond
 //! either bound is attributed to steady-state churn.
+//!
+//! The scan is a fold, [`MctScan`], with three phases:
+//!
+//! 1. **scan** — each NLRI-bearing update is judged against the
+//!    prefixes seen so far. A growing update moves the end to its
+//!    timestamp; a duplicate-heavy one extends the duplicate run. A gap
+//!    above `max_gap` or a run reaching `max_dup_run` breaks the scan.
+//! 2. **tail** — after a break, updates that share the end timestamp
+//!    still belong to the transfer period and join the distinct-prefix
+//!    count; the first later update ends the tail.
+//! 3. **done** — the result is final and the prefix set is freed.
+//!
+//! [`MctScan::result`] is the estimate over the updates pushed so far,
+//! so a stream that grows can be read at any point without a rescan:
+//! the live monitor keeps one scan per open connection and pushes only
+//! each tick's new updates. [`find_transfer_end_ref`] is the same fold
+//! run over a whole stream, stopped once the scan is done.
 
 use std::collections::HashSet;
 
@@ -112,9 +129,10 @@ fn packed(p: &Prefix) -> u64 {
 }
 
 /// Multiplicative hasher for already-well-distributed packed prefixes
-/// (Fibonacci hashing). Not DoS-hardened — fine here: the set is
-/// per-call scratch over a bounded update stream, not a long-lived map
-/// keyed by attacker-controlled input.
+/// (Fibonacci hashing). Not DoS-hardened: the set holds one session's
+/// announced prefixes, which is what a whole-stream scan always held,
+/// and is freed when its scan is done; it is never shared across
+/// sessions.
 #[derive(Default)]
 struct PackedHasher(u64);
 
@@ -140,9 +158,8 @@ type PackedSet = HashSet<u64, std::hash::BuildHasherDefault<PackedHasher>>;
 /// [`find_transfer_end`] over borrowed updates — owned
 /// `&UpdateMessage`s or [`UpdateView`](crate::UpdateView)s read straight
 /// from wire bytes — so callers holding an extraction can run MCT
-/// without materializing or cloning any message. The distinct-prefix
-/// count is maintained inline during the single scan instead of
-/// re-counting in a second pass.
+/// without materializing or cloning any message. A fold of the updates
+/// through one [`MctScan`], stopped as soon as the scan is done.
 pub fn find_transfer_end_ref<I, U>(
     start: Micros,
     updates: I,
@@ -152,65 +169,164 @@ where
     I: IntoIterator<Item = (Micros, U)>,
     U: UpdateNlri,
 {
-    let mut seen = PackedSet::default();
-    // One update's announced prefixes, packed: a wire view is walked
-    // once, then probed and inserted from here.
-    let mut announced: Vec<u64> = Vec::new();
-    let mut end: Option<Micros> = None;
-    let mut update_count = 0;
-    let mut counted = 0;
-    let mut dup_run = 0;
-    let mut last_time = start;
-    let mut prefix_count = 0;
-    let mut iter = updates.into_iter();
-    for (time, update) in iter.by_ref() {
-        if update.carries_no_nlri() {
-            continue; // keepalive-equivalent / attribute-only updates
-        }
-        if time - last_time > config.max_gap {
+    let mut scan = MctScan::new(start);
+    for (time, update) in updates {
+        if scan.is_done() {
             break;
         }
-        counted += 1;
-        announced.clear();
-        announced.extend(update.announced().map(|p| packed(&p)));
-        let new = announced.iter().filter(|p| !seen.contains(*p)).count();
-        let dup_frac = 1.0 - new as f64 / announced.len().max(1) as f64;
-        seen.extend(announced.iter().copied());
-        last_time = time;
+        scan.push(time, &update, config);
+    }
+    scan.result()
+}
+
+/// Where an [`MctScan`] is in the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Still deciding: each NLRI-bearing update either grows the table
+    /// (moving the end forward) or counts toward the duplicate run.
+    Scan,
+    /// The scan broke (gap or duplicate run) after finding an end;
+    /// updates sharing the end timestamp still join the distinct count.
+    Tail,
+    /// Nothing further can change the result.
+    Done,
+}
+
+/// The MCT scan as an incremental fold: anchored at the session start,
+/// fed one update at a time in arrival order, with
+/// [`result`](Self::result) readable after any prefix of the stream.
+///
+/// Feeding a whole stream gives exactly [`find_transfer_end_ref`] over
+/// it (that function *is* this fold), so a caller watching a growing
+/// stream — the live monitor, once per tick — pushes only the updates
+/// that arrived since its last read instead of rescanning from the
+/// session start. The packed-prefix set is freed once the scan is done.
+#[derive(Debug, Clone)]
+pub struct MctScan {
+    start: Micros,
+    phase: Phase,
+    /// Distinct announced prefixes so far, packed.
+    seen: PackedSet,
+    /// One update's announced prefixes, packed: a wire view is walked
+    /// once, then probed and inserted from here.
+    announced: Vec<u64>,
+    end: Option<Micros>,
+    update_count: usize,
+    /// NLRI-bearing updates scanned, accepted or not.
+    counted: usize,
+    dup_run: usize,
+    last_time: Micros,
+    prefix_count: usize,
+}
+
+impl MctScan {
+    /// An empty scan anchored at the session start.
+    pub fn new(start: Micros) -> MctScan {
+        MctScan {
+            start,
+            phase: Phase::Scan,
+            seen: PackedSet::default(),
+            announced: Vec::new(),
+            end: None,
+            update_count: 0,
+            counted: 0,
+            dup_run: 0,
+            last_time: start,
+            prefix_count: 0,
+        }
+    }
+
+    /// The session start the scan is anchored at.
+    pub fn start(&self) -> Micros {
+        self.start
+    }
+
+    /// True once no further update can change [`result`](Self::result).
+    pub fn is_done(&self) -> bool {
+        self.phase == Phase::Done
+    }
+
+    /// Folds in the next update of the stream (arrival order).
+    pub fn push<U: UpdateNlri>(&mut self, time: Micros, update: &U, config: &MctConfig) {
+        match self.phase {
+            Phase::Scan => self.scan(time, update, config),
+            Phase::Tail => {
+                if self.end.is_some_and(|end| time > end) {
+                    self.finish();
+                    return;
+                }
+                self.seen.extend(update.announced().map(|p| packed(&p)));
+                self.prefix_count = self.seen.len();
+            }
+            Phase::Done => {}
+        }
+    }
+
+    fn scan<U: UpdateNlri>(&mut self, time: Micros, update: &U, config: &MctConfig) {
+        if update.carries_no_nlri() {
+            return; // keepalive-equivalent / attribute-only updates
+        }
+        if time - self.last_time > config.max_gap {
+            self.stop();
+            return;
+        }
+        self.counted += 1;
+        self.announced.clear();
+        self.announced
+            .extend(update.announced().map(|p| packed(&p)));
+        let new = self
+            .announced
+            .iter()
+            .filter(|p| !self.seen.contains(*p))
+            .count();
+        let dup_frac = 1.0 - new as f64 / self.announced.len().max(1) as f64;
+        self.seen.extend(self.announced.iter().copied());
+        self.last_time = time;
         if new > 0 && dup_frac <= config.dup_tolerance {
-            end = Some(time);
-            update_count = counted;
-            dup_run = 0;
-            prefix_count = seen.len();
+            self.end = Some(time);
+            self.update_count = self.counted;
+            self.dup_run = 0;
+            self.prefix_count = self.seen.len();
         } else {
             // A rejected update sharing the current end's timestamp is
             // still inside the transfer period, so its prefixes belong
             // in the distinct count.
-            if end.is_some_and(|e| time <= e) {
-                prefix_count = seen.len();
+            if self.end.is_some_and(|end| time <= end) {
+                self.prefix_count = self.seen.len();
             }
-            dup_run += 1;
-            if dup_run >= config.max_dup_run {
-                break;
+            self.dup_run += 1;
+            if self.dup_run >= config.max_dup_run {
+                self.stop();
             }
         }
     }
-    let end = end?;
-    // Updates past an early duplicate-run break can still share the
-    // end timestamp; the distinct-prefix count covers every update
-    // within the transfer period.
-    for (time, update) in iter {
-        if time > end {
-            break;
+
+    /// Leaves the scan phase: updates past an early break can still
+    /// share the end timestamp, so a found end moves to the tail.
+    fn stop(&mut self) {
+        if self.end.is_some() {
+            self.phase = Phase::Tail;
+            self.announced = Vec::new();
+        } else {
+            self.finish();
         }
-        seen.extend(update.announced().map(|p| packed(&p)));
-        prefix_count = seen.len();
     }
-    Some(TableTransfer {
-        span: Span::new(start, end),
-        update_count,
-        prefix_count,
-    })
+
+    fn finish(&mut self) {
+        self.phase = Phase::Done;
+        self.seen = PackedSet::default();
+        self.announced = Vec::new();
+    }
+
+    /// The transfer as estimated from the updates pushed so far; `None`
+    /// until an update grows the table.
+    pub fn result(&self) -> Option<TableTransfer> {
+        Some(TableTransfer {
+            span: Span::new(self.start, self.end?),
+            update_count: self.update_count,
+            prefix_count: self.prefix_count,
+        })
+    }
 }
 
 #[cfg(test)]

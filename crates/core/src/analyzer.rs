@@ -134,6 +134,11 @@ impl Analyzer {
         &self.quarantine
     }
 
+    /// The MCT transfer-end tuning.
+    pub fn mct(&self) -> &MctConfig {
+        &self.mct
+    }
+
     /// Analyzes every TCP connection in a pcap file.
     ///
     /// # Errors
@@ -232,6 +237,24 @@ impl Analyzer {
     ) -> Analysis {
         let transfer =
             find_transfer_end_ref(conn.profile.start, extraction.updates_iter(), &self.mct);
+        self.analyze_partial_with_transfer(conn, extraction, window, anomalies, transfer)
+    }
+
+    /// Like [`analyze_partial_lossy`](Self::analyze_partial_lossy), but
+    /// with the MCT estimate supplied by the caller instead of scanned
+    /// from `extraction` — for a caller that carries an
+    /// [`MctScan`](tdat_bgp::MctScan) across snapshots of a growing
+    /// stream and feeds it only the new updates. `transfer` must be
+    /// what [`find_transfer_end_ref`] over `extraction` under
+    /// [`mct`](Self::mct) returns.
+    pub fn analyze_partial_with_transfer(
+        &self,
+        conn: TcpConnection,
+        extraction: &tdat_pcap2bgp::Extraction,
+        window: Span,
+        anomalies: AnomalyCounts,
+        transfer: Option<TableTransfer>,
+    ) -> Analysis {
         let start = window.start.max(conn.profile.start);
         let period = Span::new(start, window.end.max(start));
         let verdict = self.quarantine.assess(&anomalies, extraction);

@@ -107,4 +107,7 @@ pub use quarantine::{QuarantineConfig, Verdict};
 pub use report::Report;
 pub use series::{generate_series, generate_series_with, SeriesSet};
 pub use stream::{BgpDemux, LossyRunReport, StreamAnalyzer, StreamOptions};
+/// The MCT types in the analyzer's API ([`Analysis::transfer`],
+/// [`Analyzer::mct`], [`Analyzer::analyze_partial_with_transfer`]).
+pub use tdat_bgp::{MctConfig, MctScan, TableTransfer};
 pub use tdat_trace::TrackerConfig;

@@ -11,9 +11,11 @@
 //! * every `interval` of *trace* time it re-analyzes the connections
 //!   that saw traffic (or new capture damage) since their last
 //!   analysis over a trailing `window` via
-//!   [`Analyzer::analyze_partial`], reusing cached analyses for idle
-//!   connections — steady-state tick cost follows new traffic, not the
-//!   open-connection count;
+//!   [`Analyzer::analyze_partial_with_transfer`], reusing cached
+//!   analyses for idle connections — steady-state tick cost follows new
+//!   traffic, not the open-connection count. Each open connection
+//!   carries its MCT scan ([`MctScan`]) from tick to tick, so
+//!   a refresh folds in only the UPDATEs framed since the last one;
 //! * the detector outcomes become [`Condition`]s fed to an
 //!   [`AlertEngine`] keyed per (source, session, kind); peer-group
 //!   blocking correlates across the whole fleet of scopes, but
@@ -36,12 +38,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tdat::{
-    find_peer_group_blocking_all, report::json, Analysis, Analyzer, BgpDemux, QuarantineConfig,
-    Report,
+    find_peer_group_blocking_all, report::json, Analysis, Analyzer, BgpDemux, MctConfig, MctScan,
+    QuarantineConfig, Report, TableTransfer,
 };
 use tdat_packet::{AnomalyCounts, TcpFrame};
+use tdat_pcap2bgp::Extraction;
 use tdat_timeset::{Micros, Span};
-use tdat_trace::{ConnKey, ConnectionTracker, FinalizedConnection, TrackerConfig};
+use tdat_trace::{ConnKey, ConnectionTracker, Endpoint, FinalizedConnection, TrackerConfig};
 
 use crate::alerts::{Alert, AlertConfig, AlertEngine, AlertKind, Condition};
 use crate::metrics::MonitorMetrics;
@@ -571,6 +574,55 @@ pub(crate) struct SourceScope {
     /// Cached per-connection analyses from previous ticks; entries are
     /// refreshed only when their connection is dirty.
     pub(crate) cache: HashMap<ConnKey, CachedAnalysis>,
+    /// Per-connection MCT scans carried across ticks; an entry lives
+    /// from the connection's first refresh to its finalization.
+    pub(crate) mct: HashMap<ConnKey, CarriedMct>,
+}
+
+/// One open connection's MCT fold, carried from tick to tick: `scan`
+/// has consumed the first `consumed` framed messages of `sender`'s
+/// stream.
+#[derive(Debug)]
+pub(crate) struct CarriedMct {
+    sender: Endpoint,
+    consumed: usize,
+    scan: MctScan,
+}
+
+impl CarriedMct {
+    fn new(sender: Endpoint, start: Micros) -> CarriedMct {
+        CarriedMct {
+            sender,
+            consumed: 0,
+            scan: MctScan::new(start),
+        }
+    }
+
+    /// Advances the scan to `extraction` (a later snapshot of `sender`'s
+    /// stream) and returns its estimate. The scan restarts from the
+    /// session start when `rescan` is set or when it no longer
+    /// describes this stream: the sender was re-elected (the other
+    /// direction's stream) or the session start moved.
+    fn advance(
+        &mut self,
+        sender: Endpoint,
+        start: Micros,
+        extraction: &Extraction,
+        config: &MctConfig,
+        rescan: bool,
+    ) -> Option<TableTransfer> {
+        if rescan || self.sender != sender || self.scan.start() != start {
+            *self = CarriedMct::new(sender, start);
+        }
+        for (time, update) in extraction.updates_since(self.consumed) {
+            if self.scan.is_done() {
+                break;
+            }
+            self.scan.push(time, &update, config);
+        }
+        self.consumed = extraction.messages.len();
+        self.scan.result()
+    }
 }
 
 /// What [`SourceScope::finalize_connection`] produced: the data-plane
@@ -604,6 +656,7 @@ impl SourceScope {
             quality_dirty: HashSet::new(),
             unattributed: AnomalyCounts::default(),
             cache: HashMap::new(),
+            mct: HashMap::new(),
         }
     }
 
@@ -652,13 +705,18 @@ impl SourceScope {
         }
     }
 
-    /// Refreshes the cached analyses for `work` (tick phase 1).
+    /// Refreshes the cached analyses for `work` (tick phase 1). Each
+    /// connection's carried MCT scan folds in only the messages framed
+    /// since its last refresh; `recompute_all` restarts every scan from
+    /// the session start instead, keeping that mode an independent
+    /// whole-history rescan.
     pub(crate) fn refresh(
         &mut self,
         work: Vec<(ConnKey, Micros)>,
         analyzer: &Analyzer,
         window: Micros,
         timer_min_gaps: usize,
+        recompute_all: bool,
     ) {
         for (key, anchor) in work {
             let (Some(fin), Some(ordinal)) =
@@ -669,8 +727,19 @@ impl SourceScope {
             let span = Span::new(anchor.saturating_sub(window), anchor);
             let extraction = self.demux.snapshot(key, fin.connection.sender);
             let counts = self.quality.get(&key).copied().unwrap_or_default();
-            let analysis =
-                analyzer.analyze_partial_lossy(fin.connection, &extraction, span, counts);
+            let (sender, start) = (fin.connection.sender, fin.connection.profile.start);
+            let transfer = self
+                .mct
+                .entry(key)
+                .or_insert_with(|| CarriedMct::new(sender, start))
+                .advance(sender, start, &extraction, analyzer.mct(), recompute_all);
+            let analysis = analyzer.analyze_partial_with_transfer(
+                fin.connection,
+                &extraction,
+                span,
+                counts,
+                transfer,
+            );
             let session = session_id(&analysis);
             let conditions = analysis_conditions(
                 &analysis,
@@ -763,6 +832,7 @@ impl SourceScope {
         analyzer: &Analyzer,
     ) -> FinalizeOutcome {
         self.progress.remove(&fin.key);
+        self.mct.remove(&fin.key);
         let cached_session = self.cache.remove(&fin.key).map(|cached| cached.session);
         self.quality_dirty.remove(&fin.key);
         let counts = self.quality.remove(&fin.key).unwrap_or_default();
@@ -1076,15 +1146,34 @@ impl Monitor {
     /// used by the differential tests proving incremental ticks equal
     /// full recomputation.
     pub fn snapshot_reports(&self) -> Vec<(String, String, String)> {
+        self.snapshot_rows(|cached| {
+            Report::from_analysis(&cached.analysis, self.analyzer.config()).to_json()
+        })
+    }
+
+    /// The MCT transfer estimate of each analysis as of the last tick,
+    /// in the rows and order of
+    /// [`snapshot_reports`](Self::snapshot_reports) — the whole
+    /// estimate (span, update and prefix counts), of which reports
+    /// expose only the prefix count.
+    pub fn snapshot_transfers(&self) -> Vec<(String, String, Option<TableTransfer>)> {
+        self.snapshot_rows(|cached| cached.analysis.transfer.clone())
+    }
+
+    /// Open connections whose MCT scan is carried across ticks.
+    pub fn carried_scans(&self) -> usize {
+        self.scopes.iter().map(|scope| scope.mct.len()).sum()
+    }
+
+    fn snapshot_rows<T>(&self, row: impl Fn(&CachedAnalysis) -> T) -> Vec<(String, String, T)> {
         let mut out = Vec::new();
         for scope in &self.scopes {
-            out.extend(scope.ordered_cache().into_iter().map(|cached| {
-                (
-                    scope.name.to_string(),
-                    cached.session.clone(),
-                    Report::from_analysis(&cached.analysis, self.analyzer.config()).to_json(),
-                )
-            }));
+            out.extend(
+                scope
+                    .ordered_cache()
+                    .into_iter()
+                    .map(|cached| (scope.name.to_string(), cached.session.clone(), row(cached))),
+            );
         }
         out
     }
@@ -1227,7 +1316,7 @@ impl Monitor {
         // so both assign the same anchors.
         for scope in &mut self.scopes {
             let work = scope.dirty_work(at, recompute_all);
-            scope.refresh(work, &self.analyzer, window, timer_min_gaps);
+            scope.refresh(work, &self.analyzer, window, timer_min_gaps, recompute_all);
         }
 
         // Phase 2, per scope: condition evaluation over the whole cache

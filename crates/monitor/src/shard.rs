@@ -47,7 +47,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
-use tdat::Analyzer;
+use tdat::{Analyzer, TableTransfer};
 use tdat_packet::{AnomalyCounts, CaptureAnomaly, TcpFrame};
 use tdat_timeset::workpool::WorkerPool;
 use tdat_timeset::Micros;
@@ -285,7 +285,13 @@ impl Shard {
                     let mut out: TickOutput = Vec::with_capacity(self.scopes.len());
                     for scope in &mut self.scopes {
                         let work = scope.dirty_work(at, ctx.recompute_all);
-                        scope.refresh(work, &ctx.analyzer, ctx.window, ctx.timer_min_gaps);
+                        scope.refresh(
+                            work,
+                            &ctx.analyzer,
+                            ctx.window,
+                            ctx.timer_min_gaps,
+                            ctx.recompute_all,
+                        );
                         out.push(scope.entry_conditions(at, ctx.stall_after));
                     }
                     self.ticks.push_back(out);
@@ -783,7 +789,9 @@ impl ShardEngine {
         }
     }
 
-    fn snapshot_reports(&mut self) -> Vec<(String, String, String)> {
+    /// One row per cached analysis, merged across shards in (source,
+    /// tracker-insertion) order, after flushing queued work.
+    fn snapshot_rows<T>(&mut self, row: impl Fn(&CachedAnalysis) -> T) -> Vec<(String, String, T)> {
         self.flush();
         let mut out = Vec::new();
         for (s, name) in self.names.iter().enumerate() {
@@ -797,13 +805,11 @@ impl ShardEngine {
                 }
             }
             entries.sort_unstable_by_key(|cached| cached.ordinal);
-            out.extend(entries.into_iter().map(|cached| {
-                (
-                    name.to_string(),
-                    cached.session.clone(),
-                    tdat::Report::from_analysis(&cached.analysis, self.analyzer.config()).to_json(),
-                )
-            }));
+            out.extend(
+                entries
+                    .into_iter()
+                    .map(|cached| (name.to_string(), cached.session.clone(), row(cached))),
+            );
         }
         out
     }
@@ -1023,7 +1029,40 @@ impl ShardedMonitor {
     pub fn snapshot_reports(&mut self) -> Vec<(String, String, String)> {
         match &mut self.inner {
             Inner::Serial(monitor) => monitor.snapshot_reports(),
-            Inner::Sharded(engine) => engine.snapshot_reports(),
+            Inner::Sharded(engine) => {
+                let analyzer = Arc::clone(&engine.analyzer);
+                engine.snapshot_rows(|cached| {
+                    tdat::Report::from_analysis(&cached.analysis, analyzer.config()).to_json()
+                })
+            }
+        }
+    }
+
+    /// The MCT transfer estimate of each analysis as of the last tick;
+    /// see [`Monitor::snapshot_transfers`]. Flushes queued work first.
+    pub fn snapshot_transfers(&mut self) -> Vec<(String, String, Option<TableTransfer>)> {
+        match &mut self.inner {
+            Inner::Serial(monitor) => monitor.snapshot_transfers(),
+            Inner::Sharded(engine) => {
+                engine.snapshot_rows(|cached| cached.analysis.transfer.clone())
+            }
+        }
+    }
+
+    /// Open connections whose MCT scan is carried across ticks, summed
+    /// over shards. Flushes queued work first.
+    pub fn carried_scans(&mut self) -> usize {
+        match &mut self.inner {
+            Inner::Serial(monitor) => monitor.carried_scans(),
+            Inner::Sharded(engine) => {
+                engine.flush();
+                engine
+                    .shards
+                    .iter()
+                    .flat_map(|shard| &shard.scopes)
+                    .map(|scope| scope.mct.len())
+                    .sum()
+            }
         }
     }
 

@@ -400,7 +400,16 @@ impl Extraction {
     /// The timestamped UPDATE messages as borrowed views over the arena
     /// — the MCT input, read without decoding or cloning anything.
     pub fn updates_iter(&self) -> impl Iterator<Item = (Micros, UpdateView<'_>)> {
+        self.updates_since(0)
+    }
+
+    /// Like [`updates_iter`](Self::updates_iter), but only over
+    /// `messages[first..]` — the updates framed after the first `first`
+    /// messages, for a caller that has already consumed those.
+    pub fn updates_since(&self, first: usize) -> impl Iterator<Item = (Micros, UpdateView<'_>)> {
         self.messages
+            .get(first..)
+            .unwrap_or_default()
             .iter()
             .filter(|m| m.type_code == 2)
             .filter_map(|m| Some((m.time, UpdateView::new(self.bytes_of(m))?)))
